@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.get_int("iters", 31, "suite iterations"));
   const std::string mode_s =
       cli.get_string("mode", "QUAD", "cluster mode (paper fig: cache mode)");
+  const int jobs = cli.get_jobs();
   cli.finish();
 
   MachineConfig cfg =
@@ -28,9 +29,11 @@ int main(int argc, char** argv) {
   benchbin::observe(obs, cfg);
   obs.set_config("knl7210 " + mode_s + "/cache");
   obs.set_seed(cfg.seed);
+  obs.set_jobs(jobs);
   obs.phase("fit");
   bench::SuiteOptions opts;
   opts.run.iters = iters;
+  opts.jobs = jobs;
   const CapabilityModel m = fit_cache_model(cfg, opts);
 
   std::cout << "Fitted model: R_L=" << fmt_num(m.r_local, 1)

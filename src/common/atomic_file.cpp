@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -17,16 +18,9 @@ constexpr char kMagic[8] = {'C', 'A', 'P', 'F', 'I', 'L', 'E', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8;  // magic, version, length
 constexpr std::size_t kChecksumBytes = 8;
 
-void put_u32(std::vector<std::uint8_t>* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+/// Stores the low `n` bytes of `v` little-endian at `p`.
+void put_le(std::uint8_t* p, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 std::uint32_t get_u32(const std::uint8_t* p) {
@@ -119,13 +113,16 @@ void atomic_write_file(const std::string& path,
 
 std::vector<std::uint8_t> seal(std::uint32_t version,
                                const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size() + kChecksumBytes);
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  put_u32(&out, version);
-  put_u64(&out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_u64(&out, fnv1a(out.data(), out.size()));
+  // Sized once and filled in place: the header, payload and checksum
+  // offsets are fixed.
+  const std::size_t body = kHeaderBytes + payload.size();
+  std::vector<std::uint8_t> out(body + kChecksumBytes);
+  std::memcpy(out.data(), kMagic, sizeof(kMagic));
+  put_le(out.data() + 8, version, 4);
+  put_le(out.data() + 12, payload.size(), 8);
+  std::copy(payload.begin(), payload.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes));
+  put_le(out.data() + body, fnv1a(out.data(), body), 8);
   return out;
 }
 

@@ -1,8 +1,9 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
-
 #include <thread>
 
 #include "common/check.hpp"
@@ -43,7 +44,14 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
   declared_[name] = {help, std::to_string(def)};
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::stoll(it->second);
+  const std::string& s = it->second;
+  std::int64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) {
+    throw CheckError("option --" + name + " expects an integer, got '" + s +
+                     "'");
+  }
+  return v;
 }
 
 double Cli::get_double(const std::string& name, double def,
@@ -51,7 +59,15 @@ double Cli::get_double(const std::string& name, double def,
   declared_[name] = {help, std::to_string(def)};
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::stod(it->second);
+  const std::string& s = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || errno != 0 || end != s.c_str() + s.size()) {
+    throw CheckError("option --" + name + " expects a number, got '" + s +
+                     "'");
+  }
+  return v;
 }
 
 bool Cli::get_flag(const std::string& name, bool def,

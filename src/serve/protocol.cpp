@@ -100,8 +100,9 @@ auto resolve(Fn&& fn) -> decltype(fn()) {
 }
 
 /// Parses the machine-identity quartet shared by predict and simulate and
-/// writes both the resolved enums and the canonical body fields.
-void parse_machine(const Json& obj, Request* req) {
+/// writes both the resolved enums and the canonical body fields. Returns
+/// the machine's hardware-thread count.
+int parse_machine(const Json& obj, Request* req) {
   req->machine = get_string(obj, "machine", "knl_38t");
   const std::string cluster = get_string(obj, "cluster", "QUAD");
   const std::string memory = get_string(obj, "memory", "flat");
@@ -110,11 +111,13 @@ void parse_machine(const Json& obj, Request* req) {
   req->memory = resolve([&] { return sim::memory_mode_from_string(memory); });
   req->protocol = resolve([&] { return sim::parse_protocol(protocol); });
   // Validate the preset name now (cheap: throws before any scheduling).
-  resolve([&] { return sim::machine_preset(req->machine); });
+  const int hw_threads =
+      resolve([&] { return sim::machine_preset(req->machine); }).hw_threads();
   req->body.set("machine", req->machine);
   req->body.set("cluster", std::string(sim::to_string(req->cluster)));
   req->body.set("memory", std::string(sim::to_string(req->memory)));
   req->body.set("protocol", std::string(sim::to_string(req->protocol)));
+  return hw_threads;
 }
 
 }  // namespace
@@ -156,7 +159,7 @@ Request parse_request(const std::string& line) {
     check_fields(doc, with_common({"machine", "cluster", "memory", "protocol",
                                    "collective", "threads", "schedule",
                                    "buffer"}));
-    parse_machine(doc, &req);
+    const int hw = parse_machine(doc, &req);
     req.collective = get_string(doc, "collective", "broadcast");
     if (req.collective != "broadcast" && req.collective != "reduce" &&
         req.collective != "barrier" && req.collective != "allreduce") {
@@ -164,6 +167,10 @@ Request parse_request(const std::string& line) {
               "barrier | allreduce");
     }
     req.threads = get_int(doc, "threads", 1, 1, 4096);
+    if (req.threads > hw) {
+      invalid("field 'threads' exceeds the " + std::to_string(hw) +
+              " hardware threads of machine '" + req.machine + "'");
+    }
     const std::string sched = get_string(doc, "schedule", "scatter");
     if (sched != "scatter" && sched != "compact") {
       invalid("field 'schedule' must be 'scatter' or 'compact'");

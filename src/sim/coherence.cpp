@@ -19,10 +19,17 @@ const char* to_string(TileState s) {
 }
 
 void Directory::drop_if_invalid(Line line) {
-  const LineEntry* e = map_.find(line);
-  if (e != nullptr && !e->anywhere()) {
-    if (e == last_entry_) last_entry_ = nullptr;
-    map_.erase(line);
+  const std::uint64_t key = line / kPageLines;
+  Page* p = find_page(key);
+  if (p == nullptr) return;
+  const std::uint64_t bit = 1ull << (line % kPageLines);
+  if ((p->present & bit) == 0 || p->lines[line % kPageLines].anywhere())
+    return;
+  p->present &= ~bit;
+  --size_;
+  if (p->present == 0) {
+    if (p == memo_) memo_ = nullptr;
+    pages_.erase(key);
   }
 }
 

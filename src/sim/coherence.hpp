@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "common/units.hpp"
 #include "sim/address.hpp"
@@ -71,23 +70,42 @@ struct LineEntry {
   bool anywhere() const { return l2_mask != 0; }
 };
 
+/// Line -> LineEntry store. Entries live in pages of kPageLines consecutive
+/// lines (a presence bitmask plus the entries), and the pages are keyed by
+/// `line / kPageLines` in a LineTable with a one-page memo. A stream's
+/// consecutive lines thus share one block of host memory, and the L1/L2
+/// victims and flushed lines a stream produces, a few pages behind its
+/// cursor, are still warm in the host cache.
 class Directory {
  public:
+  /// Lines per page: one 64-bit presence word.
+  static constexpr int kPageLines = 64;
+
   /// Entry for `line`, creating an Invalid one if absent. The reference is
-  /// stable until this line is dropped.
+  /// stable until this line is dropped (its page outlives every line in it).
   LineEntry& entry(Line line) {
-    // One-slot cache: spin-waits and RFO sequences hit the same line many
-    // times in a row. Pool references are stable (deque-backed), so the
-    // pointer survives unrelated inserts; it is dropped on erase/clear.
-    if (line == last_line_ && last_entry_ != nullptr) return *last_entry_;
-    last_line_ = line;
-    last_entry_ = &map_.get_or_create(line);
-    return *last_entry_;
+    Page& p = page_for(line / kPageLines);
+    const std::uint64_t bit = 1ull << (line % kPageLines);
+    LineEntry& e = p.lines[line % kPageLines];
+    if ((p.present & bit) == 0) {
+      p.present |= bit;
+      e = LineEntry{};
+      ++size_;
+    }
+    return e;
   }
   /// Entry if tracked, nullptr otherwise.
-  const LineEntry* find(Line line) const { return map_.find(line); }
-  LineEntry* find(Line line) { return map_.find(line); }
-  /// Drops an entry that went globally Invalid (keeps the map compact).
+  const LineEntry* find(Line line) const {
+    return const_cast<Directory*>(this)->find(line);
+  }
+  LineEntry* find(Line line) {
+    Page* p = find_page(line / kPageLines);
+    if (p == nullptr || ((p->present >> (line % kPageLines)) & 1ull) == 0)
+      return nullptr;
+    return &p->lines[line % kPageLines];
+  }
+  /// Drops an entry that went globally Invalid (keeps the map compact); a
+  /// page is freed with its last line.
   void drop_if_invalid(Line line);
 
   /// State of `line` as seen by `tile`'s L2.
@@ -109,34 +127,66 @@ class Directory {
   /// Sweeps every tracked line (test helper).
   void check_all() const {
     const ProtocolRules& r = *rules_;
-    map_.for_each([&r](Line, const LineEntry& e) { check_entry(e, r); });
+    for_each([&r](Line, const LineEntry& e) { check_entry(e, r); });
   }
 
-  /// Visits every tracked (line, entry); order unspecified. Used by the
-  /// capmem::check global sweeps to cross-check the directory against the
-  /// actual cache residency.
+  /// Visits every tracked (line, entry) exactly once; order unspecified.
+  /// Used by the capmem::check global sweeps to cross-check the directory
+  /// against the actual cache residency.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    map_.for_each(std::forward<Fn>(fn));
+    pages_.for_each([&fn](std::uint64_t key, const Page& p) {
+      for (std::uint64_t rest = p.present; rest != 0; rest &= rest - 1) {
+        const int i = __builtin_ctzll(rest);
+        fn(key * kPageLines + static_cast<Line>(i), p.lines[i]);
+      }
+    });
   }
 
-  std::size_t tracked_lines() const { return map_.size(); }
+  std::size_t tracked_lines() const { return size_; }
+  /// Pages currently allocated (each holds at least one tracked line).
+  std::size_t pages() const { return pages_.size(); }
 
   void clear() {
-    map_.clear();
-    last_entry_ = nullptr;
+    pages_.clear();
+    memo_ = nullptr;
+    size_ = 0;
   }
 
   /// Checkpoint support (capmem::snap). Entries export sorted by line (the
-  /// hash table's iteration order is unspecified); the memoized physical
+  /// page table's iteration order is unspecified); the memoized physical
   /// target is derived data and recomputed lazily after import.
   std::vector<state::DirEntryState> export_state() const;
   void import_state(const std::vector<state::DirEntryState>& entries);
 
  private:
-  LineTable<LineEntry> map_;
-  Line last_line_ = ~0ull;
-  LineEntry* last_entry_ = nullptr;
+  struct Page {
+    std::uint64_t present = 0;  ///< bit i: lines[i] is tracked
+    LineEntry lines[kPageLines];
+  };
+
+  Page* find_page(std::uint64_t key) {
+    if (memo_ != nullptr && key == memo_key_) return memo_;
+    Page* p = pages_.find(key);
+    if (p != nullptr) {
+      memo_key_ = key;
+      memo_ = p;
+    }
+    return p;
+  }
+  Page& page_for(std::uint64_t key) {
+    if (memo_ != nullptr && key == memo_key_) return *memo_;
+    memo_key_ = key;
+    memo_ = &pages_.get_or_create(key);
+    return *memo_;
+  }
+
+  // Pool references are stable (deque-backed), so the memo survives
+  // unrelated page inserts; it is dropped when its page is freed.
+  LineTable<Page> pages_;
+  std::uint64_t memo_key_ = 0;
+  Page* memo_ = nullptr;
+  std::size_t size_ = 0;
   const ProtocolRules* rules_ = &rules_of(Protocol::kMesif);
 };
 

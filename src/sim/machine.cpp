@@ -72,25 +72,19 @@ void RangeOp::step(Task::Handle h) {
   for (std::uint64_t i = 0; i < chunk; ++i) {
     const std::uint64_t off = (op.done_lines + i) * kLineBytes;
     switch (op.kind) {
-      case RangeOp::Kind::kRead: {
-        const Allocation& al = op.ctx->allocation_of(op.a);
-        timed(op.a + off, al.place, AccessType::kRead, read_opts);
+      case RangeOp::Kind::kRead:
+        timed(op.a + off, op.place_a, AccessType::kRead, read_opts);
         break;
-      }
-      case RangeOp::Kind::kWrite: {
-        const Allocation& al = op.ctx->allocation_of(op.a);
-        timed(op.a + off, al.place, AccessType::kWrite, write_opts);
+      case RangeOp::Kind::kWrite:
+        timed(op.a + off, op.place_a, AccessType::kWrite, write_opts);
         op.ctx->eng_->notify(line_of(op.a + off), p.clock, tid);
         break;
-      }
       case RangeOp::Kind::kCopy: {
-        const Allocation& src = op.ctx->allocation_of(op.b);
         AccessOpts ro = read_opts;
         ro.copy_pair = true;
-        timed(op.b + off, src.place, AccessType::kRead, ro);
-        const Allocation& dst = op.ctx->allocation_of(op.a);
-        timed(op.a + off, dst.place, AccessType::kWrite, write_opts);
-        if (op.move_data && src.has_data && dst.has_data) {
+        timed(op.b + off, op.place_b, AccessType::kRead, ro);
+        timed(op.a + off, op.place_a, AccessType::kWrite, write_opts);
+        if (op.copy_data) {
           const std::uint64_t n = std::min<std::uint64_t>(
               kLineBytes, op.bytes - (op.done_lines + i) * kLineBytes);
           std::memcpy(m.space().data(op.a + off, n),
@@ -100,14 +94,11 @@ void RangeOp::step(Task::Handle h) {
         break;
       }
       case RangeOp::Kind::kTriad: {
-        const Allocation& b = op.ctx->allocation_of(op.b);
-        const Allocation& c = op.ctx->allocation_of(op.c);
-        const Allocation& a = op.ctx->allocation_of(op.a);
         AccessOpts ro = read_opts;
         ro.copy_pair = true;
-        timed(op.b + off, b.place, AccessType::kRead, ro);
-        timed(op.c + off, c.place, AccessType::kRead, ro);
-        timed(op.a + off, a.place, AccessType::kWrite, write_opts);
+        timed(op.b + off, op.place_b, AccessType::kRead, ro);
+        timed(op.c + off, op.place_c, AccessType::kRead, ro);
+        timed(op.a + off, op.place_a, AccessType::kWrite, write_opts);
         op.ctx->eng_->notify(line_of(op.a + off), p.clock, tid);
         break;
       }
@@ -130,7 +121,28 @@ void range_pump(RangeOp* op, Task::Handle h) {
 
 }  // namespace
 
+void RangeOp::resolve() {
+  const auto operand = [this](Addr x, const char* role) -> const Allocation& {
+    const Allocation& al = ctx->allocation_of(x);
+    CAPMEM_CHECK_MSG(bytes <= al.end() - x,
+                     "range " << role << " [" << x << "," << x + bytes
+                              << ") overruns allocation '" << al.name
+                              << "' [" << al.base << "," << al.end() << ")");
+    return al;
+  };
+  const bool reads_a = kind == Kind::kRead;
+  const Allocation& dst = operand(a, reads_a ? "src" : "dst");
+  place_a = dst.place;
+  if (kind == Kind::kCopy || kind == Kind::kTriad) {
+    const Allocation& src = operand(b, "src");
+    place_b = src.place;
+    copy_data = move_data && src.has_data && dst.has_data;
+  }
+  if (kind == Kind::kTriad) place_c = operand(c, "src2").place;
+}
+
 bool RangeOp::await_suspend(Task::Handle h) {
+  resolve();
   step(h);
   if (done_lines >= total_lines) {
     // Completed within the first chunk: resume immediately, but still go

@@ -130,6 +130,12 @@ struct RangeOp {
   std::uint64_t done_lines = 0;
   std::uint64_t total_lines = 0;
 
+  // Placements of a/b/c, resolved once per range by resolve().
+  Placement place_a;
+  Placement place_b;
+  Placement place_c;
+  bool copy_data = false;  // move_data and both buffers carry bytes
+
   bool await_ready() noexcept {
     total_lines = lines_for(bytes);
     return total_lines == 0;
@@ -137,6 +143,10 @@ struct RangeOp {
   bool await_suspend(Task::Handle h);  // returns false when finished
   void await_resume() const noexcept {}
 
+  /// Resolves the operands' allocations and checks that each operand's
+  /// [addr, addr+bytes) lies inside its allocation (CheckError naming the
+  /// allocation otherwise).
+  void resolve();
   /// One chunk step: advances the task clock through up to `chunk_lines`
   /// lines of the kernel. Shared by the initial suspend and the pump
   /// callbacks (machine.cpp).
@@ -241,8 +251,9 @@ class Ctx {
   friend struct detail::RangeOp;
   friend struct detail::WaitU64;
 
-  /// Allocation lookup memoized per thread (each simulated thread streams
-  /// over its own buffers, so the one-entry memo hits almost always). Being
+  /// Allocation lookup memoized per thread (a thread's single-line
+  /// operations mostly stay on one buffer; range kernels resolve their
+  /// operands once, in RangeOp::resolve, instead of per line). Being
   /// per-Ctx rather than Machine-global also makes it safe under the
   /// parallel engine, where threads of different logical processes resolve
   /// allocations concurrently.

@@ -1087,14 +1087,11 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
 void MemSystem::flush_line(Line line, bool drop_mcdram_cache) {
   LineEntry* e = dir_.find(line);
   if (e != nullptr) {
-    for (int t = 0; t < topo_->active_tiles(); ++t) {
-      if ((e->l2_mask >> t) & 1ull)
-        l2_[static_cast<std::size_t>(t)].erase(line);
-    }
-    for (int c = 0; c < cfg_->cores(); ++c) {
-      if ((e->l1_mask >> c) & 1ull)
-        l1_[static_cast<std::size_t>(c)].erase(line);
-    }
+    // Walk only the set bits (ascending, like invalidate_others).
+    for (std::uint64_t m = e->l2_mask; m != 0; m &= m - 1)
+      l2_[static_cast<std::size_t>(__builtin_ctzll(m))].erase(line);
+    for (std::uint64_t m = e->l1_mask; m != 0; m &= m - 1)
+      l1_[static_cast<std::size_t>(__builtin_ctzll(m))].erase(line);
     e->l2_mask = 0;
     e->l1_mask = 0;
     e->owner = -1;

@@ -43,8 +43,8 @@ void McdramCache::import_state(const state::McdramState& s) {
 
 std::vector<state::DirEntryState> Directory::export_state() const {
   std::vector<state::DirEntryState> out;
-  out.reserve(map_.size());
-  map_.for_each([&out](Line line, const LineEntry& e) {
+  out.reserve(size_);
+  for_each([&out](Line line, const LineEntry& e) {
     state::DirEntryState d;
     d.line = line;
     d.l2_mask = e.l2_mask;
@@ -66,9 +66,8 @@ std::vector<state::DirEntryState> Directory::export_state() const {
 
 void Directory::import_state(const std::vector<state::DirEntryState>& entries) {
   clear();
-  last_line_ = ~0ull;
   for (const state::DirEntryState& d : entries) {
-    LineEntry& e = map_.get_or_create(d.line);
+    LineEntry& e = entry(d.line);
     e.l2_mask = d.l2_mask;
     e.l1_mask = d.l1_mask;
     e.owner = d.owner;

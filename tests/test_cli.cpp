@@ -51,6 +51,41 @@ TEST(Cli, NonDashArgumentRejected) {
   EXPECT_THROW(make({"positional"}), CheckError);
 }
 
+// Malformed numbers fail with a CheckError naming the flag (never an
+// uncaught std::invalid_argument), including trailing garbage that a
+// prefix parse would accept.
+void expect_bad_value(Cli& c, bool as_int, const std::string& flag) {
+  try {
+    if (as_int) {
+      c.get_int(flag, 0);
+    } else {
+      c.get_double(flag, 0);
+    }
+    ADD_FAILURE() << "--" << flag << " accepted a malformed value";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--" + flag), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, MalformedNumbersNameTheFlag) {
+  Cli c = make({"--iters=abc", "--n=12abc", "--big=99999999999999999999",
+                "--x=fast", "--y=1.5e", "--z="});
+  expect_bad_value(c, true, "iters");
+  expect_bad_value(c, true, "n");
+  expect_bad_value(c, true, "big");
+  expect_bad_value(c, false, "x");
+  expect_bad_value(c, false, "y");
+  expect_bad_value(c, false, "z");
+}
+
+TEST(Cli, NegativeAndExponentNumbersParse) {
+  Cli c = make({"--n=-3", "--x=-2.5e-3"});
+  EXPECT_EQ(c.get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(c.get_double("x", 0), -2.5e-3);
+  c.finish();
+}
+
 TEST(Cli, DoubleParsing) {
   Cli c = make({"--x=3.25"});
   EXPECT_DOUBLE_EQ(c.get_double("x", 0), 3.25);

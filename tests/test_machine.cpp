@@ -3,6 +3,8 @@
 // saturation, data correctness, and determinism.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -261,6 +263,51 @@ TEST(Machine, CopyMovesData) {
   m.run();
   for (std::uint64_t i = 0; i < n / 8; ++i)
     ASSERT_EQ(m.space().load<std::uint64_t>(dst + i * 8), i * 3 + 1);
+}
+
+// A range kernel resolves its buffers once and must fit inside them: an
+// overrun fails naming the allocation instead of silently timing the guard
+// line and the next buffer with the wrong placement.
+std::string range_error(const std::function<Task(Ctx&, Addr, Addr)>& body) {
+  Machine m(quiet(knl7210(ClusterMode::kSNC4, MemoryMode::kFlat)));
+  const Addr ddr = m.alloc("ddr_buf", KiB(4));
+  const Addr mc = m.alloc("mcdram_buf", KiB(4), {MemKind::kMCDRAM, 0});
+  m.add_thread({0, 0}, [&](Ctx& ctx) -> Task { return body(ctx, ddr, mc); });
+  try {
+    m.run();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Machine, RangeOverrunNamesTheAllocation) {
+  const std::string read = range_error([](Ctx& ctx, Addr ddr, Addr) -> Task {
+    co_await ctx.read_buf(ddr, KiB(4) + kLineBytes);
+  });
+  EXPECT_NE(read.find("overruns allocation 'ddr_buf'"), std::string::npos)
+      << read;
+  const std::string triad =
+      range_error([](Ctx& ctx, Addr ddr, Addr mc) -> Task {
+        co_await ctx.triad(mc, mc, ddr + kLineBytes, KiB(4));
+      });
+  EXPECT_NE(triad.find("src2"), std::string::npos) << triad;
+  EXPECT_NE(triad.find("'ddr_buf'"), std::string::npos) << triad;
+  const std::string copy =
+      range_error([](Ctx& ctx, Addr ddr, Addr mc) -> Task {
+        co_await ctx.copy(ddr + KiB(2), mc, KiB(3));
+      });
+  EXPECT_NE(copy.find("dst"), std::string::npos) << copy;
+}
+
+TEST(Machine, RangeFittingItsAllocationRuns) {
+  EXPECT_EQ(range_error([](Ctx& ctx, Addr ddr, Addr mc) -> Task {
+              co_await ctx.read_buf(ddr + KiB(1), KiB(3));
+              co_await ctx.write_buf(mc, KiB(4), {.nt = true});
+              co_await ctx.copy(mc + KiB(2), ddr, KiB(2));
+              co_await ctx.triad(ddr, mc, ddr, KiB(4) - 1);
+            }),
+            "");
 }
 
 TEST(Machine, NtWriteBeatsRfoWriteOnVisibleBandwidth) {

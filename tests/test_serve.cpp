@@ -321,6 +321,12 @@ TEST(ServeProtocol, ValidationTaxonomy) {
             "invalid_request");
   EXPECT_EQ(code_of(R"({"type":"health"})"), "ok");
   EXPECT_EQ(code_of(R"({"type":"predict"})"), "ok");
+  // knl_38t has 256 hardware threads: one more is the caller's error.
+  EXPECT_EQ(code_of(R"({"type":"predict","threads":256})"), "ok");
+  EXPECT_EQ(code_of(R"({"type":"predict","threads":257})"),
+            "invalid_request");
+  EXPECT_EQ(code_of(R"({"type":"predict","machine":"tiny_8t","threads":300})"),
+            "invalid_request");
 }
 
 TEST(ServeProtocol, ReplyShapes) {
@@ -453,6 +459,16 @@ TEST(Server, EveryRequestGetsExactlyOneReplyInOrder) {
   const ServeCounters c = server.counters();
   EXPECT_EQ(c.requests, 5u);
   EXPECT_EQ(c.errors, 1u);
+}
+
+TEST(Server, PredictAboveHardwareThreadsIsInvalidRequest) {
+  Server server(test_options(make_temp_dir() + "/cache"));
+  server.submit(R"({"id":7,"type":"predict","threads":300})");
+  const std::string reply = drain_lines(server).at(0);
+  EXPECT_EQ(error_code_of(reply), "invalid_request") << reply;
+  EXPECT_NE(reply.find("256 hardware threads"), std::string::npos) << reply;
+  EXPECT_EQ(reply.find(".cpp"), std::string::npos) << reply;
+  EXPECT_EQ(server.counters().errors, 1u);
 }
 
 TEST(Server, WarmCacheReplyIsByteIdenticalToColdCompute) {
